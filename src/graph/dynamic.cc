@@ -48,43 +48,11 @@ void DynamicGraphIndex<Storage>::PrepareStored(uint32_t id,
   storage_.PrepareQuery(writer_decode_.data(), q);
 }
 
-// Writer-side candidate gathering (Insert). The writer is the only thread
-// that stores rows, so it may read them plainly; vectors it touches are
-// live or tombstoned and never concurrently overwritten (recycled slots are
-// only written by this same serialized writer).
-template <typename Storage>
-void DynamicGraphIndex<Storage>::CollectCandidates(
-    const float* query, uint32_t window, std::vector<Candidate>* out) {
-  out->clear();
-  const uint32_t ep = entry_point_.load(std::memory_order_relaxed);
-  if (ep == kNoEntry) return;
-  storage_.PrepareQuery(query, &writer_query_);
-  SearchBuffer buffer(window);
-  VisitedSet visited(capacity_);
-  visited.NextQuery();
-  buffer.Insert(storage_.Distance(writer_query_, ep), ep);
-  visited.CheckAndMark(ep);
-  long idx;
-  while ((idx = buffer.NextUnexplored()) >= 0) {
-    const uint32_t node = buffer[static_cast<size_t>(idx)].id;
-    buffer.MarkExplored(static_cast<size_t>(idx));
-    const uint32_t* nbrs = graph_.neighbors(node);
-    const uint32_t deg = graph_.degree(node);
-    for (uint32_t t = 0; t < deg; ++t) {
-      const uint32_t cand = nbrs[t];
-      if (!visited.CheckAndMark(cand)) continue;
-      buffer.Insert(storage_.Distance(writer_query_, cand), cand);
-    }
-  }
-  out->reserve(buffer.size());
-  for (size_t i = 0; i < buffer.size(); ++i) {
-    out->push_back({buffer[i].dist, buffer[i].id});
-  }
-}
-
-// Reader-side traversal: adjacency is copied row-by-row through the
-// acquire/release protocol (graph.h), so it is safe against the concurrent
-// writer; the caller must hold an epoch ReadLock.
+// The one traversal loop, shared by reads and Insert's candidate search.
+// Adjacency is copied row-by-row through the acquire/release protocol
+// (graph.h), so it is safe against the concurrent writer. A reader must
+// hold an epoch ReadLock; the writer needs none, since holding write_mu_
+// already excludes the Grow and purge that the lock guards against.
 template <typename Storage>
 void DynamicGraphIndex<Storage>::CollectIntoScratch(
     const float* query, uint32_t window, SearchScratch* scratch,
@@ -204,13 +172,17 @@ uint32_t DynamicGraphIndex<Storage>::Insert(const float* vec) {
     return id;
   }
 
-  // Vamana single-node update.
+  // Vamana single-node update. The candidate pool keeps tombstones: they
+  // remain navigable until ConsolidateDeletes.
+  CollectIntoScratch(
+      vec, std::max(opts_.build_window, opts_.graph_max_degree + 1),
+      &writer_scratch_);
+  const SearchBuffer& pool = writer_scratch_.buffer;
   std::vector<Candidate> cands;
-  CollectCandidates(vec, std::max(opts_.build_window, opts_.graph_max_degree + 1),
-                    &cands);
-  cands.erase(std::remove_if(cands.begin(), cands.end(),
-                             [&](const Candidate& c) { return c.id == id; }),
-              cands.end());
+  cands.reserve(pool.size());
+  for (size_t i = 0; i < pool.size(); ++i) {
+    if (pool[i].id != id) cands.push_back({pool[i].dist, pool[i].id});
+  }
   std::vector<uint32_t> pruned;
   RobustPrune(cands, &pruned);
   graph_.PublishNeighbors(id, pruned.data(),
@@ -352,8 +324,9 @@ void DynamicGraphIndex<Storage>::ExtractResults(const Buf& buf, size_t k,
   out->dists.clear();
   const bool use_rerank = rerank && storage_.has_second_level();
   // Partial re-rank depth, over-provisioned by the navigable tombstone
-  // count like the window (tombstoned candidates are filtered from
-  // results after re-ranking, so the depth must cover them too).
+  // count and capped by the buffer size (tombstoned candidates are
+  // filtered from results after re-ranking, so the depth must cover them
+  // too).
   const size_t m = use_rerank
                        ? RerankDepth(buf.size(), k, rerank_window,
                                      /*slack=*/tomb)
@@ -397,16 +370,24 @@ void DynamicGraphIndex<Storage>::Search(const float* query, size_t k,
   out->distance_computations = 0;
   out->hops = 0;
   EpochGuard::ReadLock reader(&epoch_);
-  // Over-provision the window by the *navigable* tombstone count:
-  // tombstones occupy candidate-buffer slots but are filtered from
-  // results, so a window sized for the live case could surface fewer than
-  // k live results even when k are reachable. Purged slots are unreachable
-  // and do not count; ConsolidateDeletes therefore resets the slack.
+  // Traverse at the caller's window. Tombstones occupy buffer slots but
+  // are dropped at extraction, so widen (doubling) only when fewer live ids
+  // come out than the query can have. The ceiling is the window that holds
+  // k live ids however the navigable tombstones fall, k + num_tombstones;
+  // with none it equals the starting window, so a tombstone-free read is a
+  // single traversal. It is re-read after each short run: a concurrent
+  // Delete can only add tombstones (purges wait for this reader), and a
+  // result it dropped is then made up by a wider run.
   const size_t tomb = num_tombstones_.load(std::memory_order_relaxed);
-  auto run_one = [&](uint32_t base_window, SearchResult* res) {
-    const size_t want = std::max<size_t>(base_window, k + tomb);
-    const uint32_t w = static_cast<uint32_t>(
-        std::min<size_t>(want, std::numeric_limits<uint32_t>::max()));
+  const size_t u32_max = std::numeric_limits<uint32_t>::max();
+  const uint32_t window0 =
+      static_cast<uint32_t>(std::min(std::max<size_t>(window, k), u32_max));
+  auto ceiling = [&] {
+    const size_t t = num_tombstones_.load(std::memory_order_relaxed);
+    return static_cast<uint32_t>(
+        std::min(std::max<size_t>(window0, k + t), u32_max));
+  };
+  auto run_one = [&](uint32_t w, SearchResult* res) {
     CollectIntoScratch(query, w, scratch, filter, push_down);
     res->distance_computations = scratch->distance_computations;
     res->hops = scratch->hops;
@@ -433,9 +414,11 @@ void DynamicGraphIndex<Storage>::Search(const float* query, size_t k,
                    scratch);
   };
   if (filter == nullptr) {
-    run_one(window, out);
+    RunWidened(std::min(k, live_size()), window0, ceiling, run_one, out);
   } else {
-    RunWidened(k, window, std::max(widen_cap, window), run_one, out);
+    RunWidened(
+        k, window0, [&] { return std::max(widen_cap, ceiling()); }, run_one,
+        out);
   }
   // Contract (eval/interface.h): exactly k entries on every path, invalid
   // slots padded with kInvalidId / +inf — including the empty-index case.

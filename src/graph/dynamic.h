@@ -43,7 +43,11 @@
 //
 // Results follow the eval/interface.h padding contract: Search always
 // produces exactly k (id, dist) pairs, padded with kInvalidId/+inf when
-// fewer live vectors are reachable.
+// fewer live vectors are reachable. A read traverses at the caller's window
+// and widens (doubling, through graph/search.h's RunWidened) only when
+// extraction yields fewer than min(k, live_size()) live ids, up to a
+// ceiling of k + num_tombstones(); its work therefore follows the caller's
+// window, not the count of tombstones awaiting consolidation.
 #pragma once
 
 #include <atomic>
@@ -137,8 +141,9 @@ class DynamicGraphIndex {
   /// `filter` (which must be bound to this index's metadata store).
   /// `push_down` selects in-search predicate evaluation vs post-filtering;
   /// both run under the adaptive widening loop up to `widen_cap` (floored
-  /// at `window`). Tombstoned vectors are excluded as usual, and the
-  /// two-level re-rank re-scores only surviving candidates.
+  /// at the unfiltered ceiling, max(window, k + num_tombstones())).
+  /// Tombstoned vectors are excluded as usual, and the two-level re-rank
+  /// re-scores only surviving candidates.
   void Search(const float* query, size_t k, uint32_t window,
               SearchResult* out, SearchScratch* scratch, bool rerank,
               uint32_t rerank_window, const FilterView* filter,
@@ -178,7 +183,8 @@ class DynamicGraphIndex {
     return num_deleted_.load(std::memory_order_acquire);
   }
   /// Tombstones still navigable by searches (deleted but not yet purged by
-  /// ConsolidateDeletes) — the window over-provision slack.
+  /// ConsolidateDeletes). k plus this count is the ceiling a read widens up
+  /// to when tombstones leave it short of live results.
   size_t num_tombstones() const {
     return num_tombstones_.load(std::memory_order_acquire);
   }
@@ -252,14 +258,10 @@ class DynamicGraphIndex {
   DynamicGraphIndex() = default;  // Restore()
 
   void Grow(size_t min_capacity);
-  /// Writer-side greedy search over the current graph; returns the
-  /// candidate pool (ascending distance, tombstones included — they remain
-  /// navigable). Prepares `writer_query_` from `query`.
-  void CollectCandidates(const float* query, uint32_t window,
-                         std::vector<Candidate>* out);
-  /// Scratch-based variant used by the read path; fills scratch->buffer and
-  /// the work counters instead of materializing a candidate vector. The
-  /// caller must hold an epoch ReadLock.
+  /// Greedy search over the current graph into `scratch->buffer`
+  /// (ascending distance, tombstones included), with the work counters.
+  /// Serves both the read path (caller holds an epoch ReadLock) and
+  /// Insert's candidate search (writer_scratch_, under write_mu_).
   void CollectIntoScratch(const float* query, uint32_t window,
                           SearchScratch* scratch,
                           const FilterView* filter = nullptr,
@@ -290,7 +292,7 @@ class DynamicGraphIndex {
   /// kPurged (ConsolidateDeletes unlinks it and queues it in free_slots_)
   /// -> kLive (Insert recycles it). The tombstone/purged split keeps a
   /// second consolidation from re-queueing an already-free slot, and lets
-  /// the search window slack count only *navigable* tombstones.
+  /// the search widening ceiling count only *navigable* tombstones.
   static constexpr uint8_t kLive = 0;
   static constexpr uint8_t kTombstone = 1;
   static constexpr uint8_t kPurged = 2;
@@ -313,8 +315,10 @@ class DynamicGraphIndex {
   /// instead).
   std::shared_ptr<MetadataStore> metadata_;
 
-  // Writer-side scratch (guarded by write_mu_): prepared queries for the
-  // insert vector / decoded stored vectors, and the decode buffer.
+  // Writer-side scratch (guarded by write_mu_): Insert's candidate search
+  // state (buffer, visited stamps, prepared insert vector), prepared
+  // queries for decoded stored vectors, and the decode buffer.
+  SearchScratch writer_scratch_;
   typename Storage::Query writer_query_;
   typename Storage::Query prune_query_;
   std::vector<float> writer_decode_;

@@ -244,7 +244,7 @@ class VamanaIndex : public SearchIndex {
     sp.filter = &plan.view;
     sp.filter_push_down = plan.push_down;
     RunWidened(
-        k, plan.window0, plan.widen_cap,
+        k, plan.window0, [&] { return plan.widen_cap; },
         [&](uint32_t w, SearchResult* res) {
           sp.window = w;
           searcher.Search(query, k, built_.entry_point, sp, res);

@@ -245,13 +245,16 @@ class GreedySearcher {
   std::vector<SearchBuffer::Entry> survivors_;  ///< filtered extraction pool
 };
 
-/// Adaptive widening loop shared by every filtered search path: runs
-/// `run(window, out)` with geometrically growing windows until the result
-/// holds k survivors (out->ids, pre-padding) or the window reaches
-/// `widen_cap` (see ResolveWidenCap in filter/metadata.h). Work counters
+/// Adaptive widening loop shared by every filtered search path and by the
+/// dynamic index's reads: runs `run(window, out)` with geometrically
+/// growing windows until the result holds k entries (out->ids, pre-padding)
+/// or the window reaches `widen_cap()` (see ResolveWidenCap in
+/// filter/metadata.h). The cap is a callable, re-read after every short
+/// run, so a ceiling that grows during the search (the dynamic index's
+/// tombstone count under a concurrent Delete) is honored. Work counters
 /// accumulate across retries so QPS/work accounting reflects total cost.
-template <typename RunFn>
-void RunWidened(size_t k, uint32_t window0, uint32_t widen_cap, RunFn&& run,
+template <typename CapFn, typename RunFn>
+void RunWidened(size_t k, uint32_t window0, CapFn&& widen_cap, RunFn&& run,
                 SearchResult* out) {
   size_t dc = 0;
   size_t hops = 0;
@@ -260,9 +263,10 @@ void RunWidened(size_t k, uint32_t window0, uint32_t widen_cap, RunFn&& run,
     run(w, out);
     dc += out->distance_computations;
     hops += out->hops;
-    if (out->ids.size() >= k || w >= widen_cap) break;
-    w = static_cast<uint32_t>(
-        std::min<uint64_t>(widen_cap, uint64_t{w} * 2));
+    if (out->ids.size() >= k) break;
+    const uint32_t cap = widen_cap();
+    if (w >= cap) break;
+    w = static_cast<uint32_t>(std::min<uint64_t>(cap, uint64_t{w} * 2));
   }
   out->distance_computations = dc;
   out->hops = hops;

@@ -167,6 +167,43 @@ TEST(DynamicLvq, ChurnPaddingConformance) {
   (void)dim;
 }
 
+// The work of one read follows the caller's window, not the global
+// tombstone count: with ~10% of the rows tombstoned and not consolidated, a
+// window = k search may widen on a live-result shortfall, but must stay
+// within a small factor of the tombstone-free work, and every answer must
+// still hold k live ids.
+TEST(DynamicLvq, ReadWorkIndependentOfTombstoneCount) {
+  const size_t n = 2000, k = 10;
+  Dataset data = MakeDeepLike(n, 50, 911);
+  DynamicLvqIndex idx = MakeLvqIndex(data, 8, 0, SmallOpts());
+  std::vector<uint32_t> ids;
+  for (size_t i = 0; i < n; ++i) ids.push_back(idx.Insert(data.base.row(i)));
+  auto mean_work = [&] {
+    SearchResult res;
+    double total = 0.0;
+    for (size_t qi = 0; qi < data.queries.rows(); ++qi) {
+      idx.Search(data.queries.row(qi), k, /*window=*/k, &res);
+      total += static_cast<double>(res.distance_computations);
+      size_t live = 0;
+      for (uint32_t id : res.ids) {
+        if (id != kInvalidId && !idx.IsDeleted(id)) ++live;
+      }
+      EXPECT_EQ(live, k) << "query " << qi;
+    }
+    return total / static_cast<double>(data.queries.rows());
+  };
+  const double clean = mean_work();
+  Rng rng(29);
+  for (size_t i = 0; i < n; i += 10) {  // one tombstone per block of 10
+    ASSERT_TRUE(idx.Delete(ids[i + rng.Bounded(10)]).ok());
+  }
+  ASSERT_EQ(idx.num_tombstones(), n / 10);
+  const double tombstoned = mean_work();
+  EXPECT_LE(tombstoned, 3.0 * clean)
+      << "distances per query: " << clean << " without tombstones, "
+      << tombstoned << " with " << idx.num_tombstones();
+}
+
 TEST(DynamicLvq, SlotsRecycleAndReencode) {
   Dataset data = MakeDeepLike(300, 5, 904);
   DynamicLvqIndex idx = MakeLvqIndex(data, 8, 0, SmallOpts());
@@ -248,7 +285,10 @@ TEST_F(DynamicLvqSerializeTest, LoadRejectsWrongKind) {
 
 // Concurrent readers against a live writer over the compressed index —
 // the TSan CI job runs this suite to validate that insert-time encoding
-// composes with the epoch/acquire-release protocol.
+// composes with the epoch/acquire-release protocol. Half the readers search
+// at window = k, so any tombstone or concurrent delete in their buffer
+// forces the widen-on-shortfall path; the 400 stable ids keep
+// live_size() >= k, so no answer may come back short.
 TEST(DynamicLvq, ConcurrentReadersDuringWrites) {
   const size_t kStable = 400, kChurn = 300;
   Dataset data = MakeDeepLike(kStable + kChurn, 1, 907);
@@ -291,18 +331,22 @@ TEST(DynamicLvq, ConcurrentReadersDuringWrites) {
       Rng rng(300 + r);
       DynamicLvqIndex::SearchScratch scratch;
       SearchResult res;
+      const uint32_t window = r % 2 == 0 ? 48 : static_cast<uint32_t>(k);
       for (size_t round = 0; round < kRounds; ++round) {
         const size_t pick = rng.Bounded(kStable);
-        idx.Search(data.base.row(pick), k, 48, &res, &scratch);
+        idx.Search(data.base.row(pick), k, window, &res, &scratch);
         ASSERT_EQ(res.ids.size(), k);
         ++self_queries;
+        size_t real = 0;
+        bool hit = false;
         for (uint32_t id : res.ids) {
-          ASSERT_TRUE(id == kInvalidId || id < opts.initial_capacity * 2);
-          if (id == stable_ids[pick]) {
-            ++self_hits;
-            break;
-          }
+          if (id == kInvalidId) continue;
+          ASSERT_LT(id, opts.initial_capacity * 2);
+          ++real;
+          hit = hit || id == stable_ids[pick];
         }
+        ASSERT_EQ(real, k) << "short answer at window " << window;
+        if (hit) ++self_hits;
       }
     });
   }

@@ -106,10 +106,10 @@ TEST(Padding, EmptyDynamicIndexPadsToK) {
   ExpectPaddedRow(res.ids.data(), res.dists.data(), kK, /*corpus=*/0);
 }
 
-// Regression (ISSUE 4): the tombstone window over-provision was capped at
-// 64, so more than 64 tombstones closer to the query than the live points
-// crowded every live result out of the candidate buffer. The slack now
-// follows the actual tombstone count.
+// Regression: a tombstone window over-provision capped at 64 let more than
+// 64 tombstones closer to the query than the live points crowd every live
+// result out of the candidate buffer. A read now widens its window on a
+// live-result shortfall, up to a ceiling of k + the actual tombstone count.
 TEST(Padding, MassDeletionDoesNotCrowdOutLiveResults) {
   const size_t kNear = 120;  // > the old cap of 64, all deleted below
   const size_t kFar = 40;

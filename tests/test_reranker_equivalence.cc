@@ -129,7 +129,9 @@ TEST(RerankerEquivalence, StaticOneLevelIsPrimaryOrderPassThrough) {
 
 // The pre-seam DynamicGraphIndex::Search epilogue: re-score the clamped
 // depth (tombstone slack included), full sort, skim past deleted ids, pad
-// to exactly k. Reads the public SearchScratch left behind by Search().
+// to exactly k. Reads the public SearchScratch left behind by Search(),
+// which holds the buffer of its last traversal: a read that widened on a
+// live-result shortfall extracts from its final, widest run.
 void OldDynamicEpilogue(const DynamicLvqIndex& idx,
                         const DynamicLvqIndex::SearchScratch& scratch,
                         size_t k, uint32_t rerank_window, size_t tomb,
