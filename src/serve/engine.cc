@@ -1,8 +1,6 @@
 #include "serve/engine.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstring>
 
 #include "util/env.h"
 
@@ -19,8 +17,8 @@ ServingEngine::ServingEngine(const SearchIndex* index,
   // Degenerate values are rejected with a Status at the configuration
   // boundary (ServingOptions::Validate, called by Index::Serve and the
   // server tools). The clamps below are last-resort defense for direct
-  // constructions that skipped Validate — a 0 here would dispatch empty
-  // batches forever / never admit a query.
+  // constructions that skipped Validate — a 0 here would drain empty
+  // chunks forever / never admit a query.
   if (opts_.max_batch == 0) opts_.max_batch = 1;
   if (opts_.queue_capacity == 0) opts_.queue_capacity = 1;
   pool_ = std::make_unique<ThreadPool>(opts_.num_threads);
@@ -30,7 +28,6 @@ ServingEngine::ServingEngine(const SearchIndex* index,
     searchers_.push_back(index_->MakeSearcher());
     free_.push_back(searchers_.back().get());
   }
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
 }
 
 ServingEngine::~ServingEngine() {
@@ -38,10 +35,9 @@ ServingEngine::~ServingEngine() {
     std::unique_lock<std::mutex> lk(queue_mu_);
     stop_ = true;
   }
-  queue_cv_.notify_all();
-  dispatcher_.join();  // flushes the remaining queue into final batches
-  Drain();
-  pool_.reset();  // runs any still-pending batch tasks before joining
+  capacity_cv_.notify_all();  // blocked Submits resolve kShutdown
+  Drain();  // drain tasks finish every query admitted before stop_
+  pool_.reset();
 }
 
 Searcher* ServingEngine::AcquireSearcher() {
@@ -109,17 +105,11 @@ std::future<SearchResult> ServingEngine::Submit(const float* query, size_t k,
       empty.dists.assign(k, kInvalidDist);
       empty.outcome = SearchOutcome::kShutdown;
       req.promise.set_value(std::move(empty));
-      // Same completion protocol as ProcessBatch: a concurrent Drain()
-      // waiting on this query must be woken.
-      if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::unique_lock<std::mutex> drain_lk(drain_mu_);
-        drain_cv_.notify_all();
-      }
+      Retire(1);
       return fut;
     }
-    queue_.push_back(std::move(req));
+    EnqueueLocked(std::move(req));
   }
-  queue_cv_.notify_all();
   return fut;
 }
 
@@ -127,8 +117,8 @@ ServingEngine::SubmitOutcome ServingEngine::TrySubmit(
     const float* query, size_t k, const SearchOptions& params,
     std::future<SearchResult>* out) {
   // Admission bound: queued + executing. (Submit's producer backpressure
-  // waits on the queue alone, which the dispatcher drains eagerly into the
-  // worker pool; an admission decision has to count the work that is
+  // waits on the queue alone, which drain tasks empty as fast as the
+  // searchers allow; an admission decision has to count the work that is
   // already past the queue or the bound is porous under load.)
   for (;;) {
     uint64_t cur = inflight_.load(std::memory_order_relaxed);
@@ -152,17 +142,13 @@ ServingEngine::SubmitOutcome ServingEngine::TrySubmit(
     std::unique_lock<std::mutex> lk(queue_mu_);
     if (stop_) {
       lk.unlock();
-      // Roll the reservation back (waking a concurrent Drain if we were
-      // the last) — the caller gets the rejection, not a future.
-      if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::unique_lock<std::mutex> drain_lk(drain_mu_);
-        drain_cv_.notify_all();
-      }
+      // Roll the reservation back — the caller gets the rejection, not a
+      // future.
+      Retire(1);
       return SubmitOutcome::kRejectedShutdown;
     }
-    queue_.push_back(std::move(req));
+    EnqueueLocked(std::move(req));
   }
-  queue_cv_.notify_all();
   *out = std::move(fut);
   return SubmitOutcome::kAccepted;
 }
@@ -172,37 +158,43 @@ size_t ServingEngine::queue_depth() const {
   return queue_.size();
 }
 
-void ServingEngine::DispatcherLoop() {
+void ServingEngine::EnqueueLocked(Request req) {
+  queue_.push_back(std::move(req));
+  // Each running drain task looks at the queue again before it returns, so
+  // a new one is needed only while some searcher has none. Posting under
+  // queue_mu_ orders every post before the destructor's stop_.
+  if (active_drains_ < searchers_.size()) {
+    ++active_drains_;
+    pool_->Submit([this] { DrainQueue(); });
+  }
+}
+
+void ServingEngine::DrainQueue() {
+  const size_t searchers = searchers_.size();
+  std::vector<Request> chunk;
   for (;;) {
-    std::vector<Request> batch;
     {
       std::unique_lock<std::mutex> lk(queue_mu_);
-      queue_cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty() && stop_) return;
-      // Micro-batching: linger briefly for more queries unless the batch is
-      // already full or we are shutting down.
-      if (queue_.size() < opts_.max_batch && !stop_) {
-        queue_cv_.wait_for(
-            lk, std::chrono::microseconds(opts_.batch_linger_us),
-            [this] { return queue_.size() >= opts_.max_batch || stop_; });
+      if (queue_.empty()) {
+        --active_drains_;
+        return;
       }
-      const size_t take = std::min(queue_.size(), opts_.max_batch);
-      batch.reserve(take);
+      // A fair share spreads a backlog over every searcher.
+      const size_t take = std::min(
+          opts_.max_batch, (queue_.size() + searchers - 1) / searchers);
       for (size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
+        chunk.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
     }
     capacity_cv_.notify_all();
     batches_.fetch_add(1, std::memory_order_relaxed);
-    // shared_ptr because ThreadPool tasks are std::function (copyable) and
-    // Request is move-only (promise).
-    auto b = std::make_shared<std::vector<Request>>(std::move(batch));
-    pool_->Submit([this, b] { ProcessBatch(std::move(*b)); });
+    ProcessBatch(chunk);
+    chunk.clear();
   }
 }
 
-void ServingEngine::ProcessBatch(std::vector<Request> batch) {
+void ServingEngine::ProcessBatch(std::vector<Request>& batch) {
   Searcher* searcher = AcquireSearcher();
   std::vector<SearchResult> results(batch.size());
   BatchStats stats;
@@ -229,8 +221,12 @@ void ServingEngine::ProcessBatch(std::vector<Request> batch) {
   for (size_t i = 0; i < batch.size(); ++i) {
     batch[i].promise.set_value(std::move(results[i]));
   }
-  if (inflight_.fetch_sub(batch.size(), std::memory_order_acq_rel) ==
-      batch.size()) {
+  Retire(batch.size());
+}
+
+void ServingEngine::Retire(uint64_t n) {
+  // A concurrent Drain() waiting on the last of these must be woken.
+  if (inflight_.fetch_sub(n, std::memory_order_acq_rel) == n) {
     std::unique_lock<std::mutex> lk(drain_mu_);
     drain_cv_.notify_all();
   }

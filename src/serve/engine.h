@@ -12,11 +12,12 @@
 //      epochs in particular make "reset" a counter bump instead of an
 //      O(n) zeroing.
 //
-//   2. An async submission path with micro-batching. Submit() enqueues one
-//      query and returns a future; a dispatcher thread collects queries for
-//      up to `batch_linger_us` (or until `max_batch` are waiting) and ships
-//      them to the worker pool as one task, amortizing queue and wakeup
-//      costs under high concurrency — the FAISS-style batching argument.
+//   2. An async path that never waits for a batch to fill. Submit()
+//      enqueues one query and returns a future; while fewer than
+//      `num_threads` drain tasks run, it starts one more on the pool. A
+//      drain task pops its fair share of the queue (at most `max_batch`),
+//      searches it and repeats until the queue is empty: an idle worker
+//      takes a query at once, and chunks grow only under a backlog.
 //
 // The engine serves any SearchIndex. Static indices (VamanaIndex) are
 // immutable and need no coordination; the dynamic index is served through
@@ -32,7 +33,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "eval/interface.h"
@@ -45,12 +45,11 @@ namespace blink {
 
 struct ServingOptions {
   size_t num_threads = 0;      ///< searcher-pool size; 0 = env NumThreads()
-  size_t max_batch = 32;       ///< async micro-batch: dispatch at this many
-  size_t batch_linger_us = 100;  ///< ... or this long after the first query
+  size_t max_batch = 32;       ///< async: most queries one drain chunk takes
   size_t queue_capacity = 1 << 16;  ///< async backpressure bound
 
   /// OK iff the options describe a servable configuration. Degenerate
-  /// values (`max_batch == 0` dispatches empty batches forever;
+  /// values (`max_batch == 0` drains empty chunks forever;
   /// `queue_capacity == 0` can never admit a query) are rejected here —
   /// Index::Serve() and the server tools call this at the configuration
   /// boundary and return the Status instead of standing up a broken
@@ -71,10 +70,6 @@ struct ServingOptions {
       return Status::InvalidArgument(
           "ServingOptions::num_threads out of range (> 4096)");
     }
-    if (batch_linger_us > 10'000'000) {
-      return Status::InvalidArgument(
-          "ServingOptions::batch_linger_us out of range (> 10s)");
-    }
     return Status::OK();
   }
 };
@@ -82,7 +77,7 @@ struct ServingOptions {
 /// Aggregate counters since engine construction (monotonic, thread-safe).
 struct ServingCounters {
   uint64_t queries = 0;
-  uint64_t batches = 0;  ///< async micro-batches dispatched
+  uint64_t batches = 0;  ///< async chunks drained from the queue
   uint64_t distance_computations = 0;
   uint64_t hops = 0;
   uint64_t rejected = 0;  ///< TrySubmit admissions refused (overload)
@@ -136,7 +131,7 @@ class ServingEngine {
   size_t inflight() const {
     return inflight_.load(std::memory_order_relaxed);
   }
-  /// Async queries waiting for the dispatcher (a subset of inflight()).
+  /// Async queries not yet taken by a drain task (a subset of inflight()).
   size_t queue_depth() const;
 
  private:
@@ -149,8 +144,10 @@ class ServingEngine {
 
   Searcher* AcquireSearcher();
   void ReleaseSearcher(Searcher* s);
-  void DispatcherLoop();
-  void ProcessBatch(std::vector<Request> batch);
+  void EnqueueLocked(Request req);
+  void DrainQueue();
+  void ProcessBatch(std::vector<Request>& batch);
+  void Retire(uint64_t n);  // ends n in-flight queries; wakes Drain() at 0
 
   const SearchIndex* index_;
   ServingOptions opts_;
@@ -163,16 +160,15 @@ class ServingEngine {
   std::mutex free_mu_;
   std::condition_variable free_cv_;
 
-  // Async queue + dispatcher.
+  // Async queue + drain tasks.
   std::deque<Request> queue_;
   mutable std::mutex queue_mu_;  // mutable: queue_depth() is a const probe
-  std::condition_variable queue_cv_;      // dispatcher wakeups
   std::condition_variable capacity_cv_;   // producer backpressure
   bool stop_ = false;
+  size_t active_drains_ = 0;  // DrainQueue tasks posted, not yet returned
   std::atomic<uint64_t> inflight_{0};     // queued + executing async queries
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
-  std::thread dispatcher_;
 
   // Counters.
   std::atomic<uint64_t> queries_{0};

@@ -11,10 +11,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,6 +38,7 @@ using net::SearchResponse;
 using net::ServerOptions;
 using net::StatusTextResponse;
 using net::WireStatus;
+using testutil::GateIndex;
 
 // --- protocol unit tests ----------------------------------------------------
 
@@ -534,52 +533,6 @@ TEST_F(NetServerTest, HttpStatsEndpoint) {
 }
 
 // --- deterministic server-level admission control ---------------------------
-
-/// A SearchIndex stub that parks every search until the gate opens (the
-/// server-level twin of the engine suite's GateIndex).
-class GateIndex : public SearchIndex {
- public:
-  explicit GateIndex(size_t dim) : dim_(dim) {}
-
-  std::string name() const override { return "gate-stub"; }
-  size_t size() const override { return 1; }
-  size_t dim() const override { return dim_; }
-  size_t memory_bytes() const override { return sizeof(*this); }
-
-  void SearchBatch(MatrixViewF queries, size_t k, const SearchOptions&,
-                   uint32_t* ids, ThreadPool* = nullptr) const override {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      ++entered_;
-      entered_cv_.notify_all();
-      gate_cv_.wait(lk, [&] { return open_; });
-    }
-    const uint32_t hit = 0;
-    const float dist = 0.0f;
-    for (size_t qi = 0; qi < queries.rows; ++qi) {
-      WritePaddedRow(&hit, &dist, 1, k, ids + qi * k, nullptr);
-    }
-  }
-
-  void WaitEntered(uint64_t n) const {
-    std::unique_lock<std::mutex> lk(mu_);
-    entered_cv_.wait(lk, [&] { return entered_ >= n; });
-  }
-
-  void OpenGate() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    open_ = true;
-    gate_cv_.notify_all();
-  }
-
- private:
-  size_t dim_;
-  mutable std::mutex mu_;
-  mutable std::condition_variable entered_cv_;
-  mutable std::condition_variable gate_cv_;
-  mutable uint64_t entered_ = 0;
-  mutable bool open_ = false;
-};
 
 // With queue_capacity=1, a second concurrent request is answered
 // kOverloaded immediately — the socket thread never blocks on engine

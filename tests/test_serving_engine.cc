@@ -1,5 +1,5 @@
 // Serving engine tests: pooled-searcher correctness against the direct
-// paths, async micro-batching, the ISSUE 2 multi-threaded stress test —
+// paths, async queue draining, a multi-threaded stress test —
 // concurrent SearchBatch from many threads while a writer mutates the
 // dynamic index — plus the serving-path hardening of ISSUE 8: options
 // validation, deterministic TrySubmit admission control, the shutdown
@@ -12,10 +12,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -28,6 +26,8 @@
 
 namespace blink {
 namespace {
+
+using testutil::GateIndex;
 
 /// testutil::Fixture (deep-like corpus, R=24/W=48) plus a built LVQ-8
 /// index — the engine tests search it through every serving path. The
@@ -376,67 +376,7 @@ TEST(ServingOptions, ValidateRejectsDegenerateConfigurations) {
   o = ServingOptions{};
   o.num_threads = (1u << 12) + 1;
   EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument);
-
-  o = ServingOptions{};
-  o.batch_linger_us = 10'000'001;
-  EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument);
 }
-
-/// A SearchIndex stub whose SearchBatch parks inside the search until the
-/// gate opens — the deterministic way to hold async queries "executing"
-/// while a test probes admission control or shutdown. With
-/// `block_first_only`, only the first query ever parks; the rest answer
-/// immediately (the shutdown test needs later queries to resolve while the
-/// first pins the engine's in-flight count).
-class GateIndex : public SearchIndex {
- public:
-  explicit GateIndex(size_t dim, bool block_first_only = false)
-      : dim_(dim), block_first_only_(block_first_only) {}
-
-  std::string name() const override { return "gate-stub"; }
-  size_t size() const override { return 1; }
-  size_t dim() const override { return dim_; }
-  size_t memory_bytes() const override { return sizeof(*this); }
-
-  void SearchBatch(MatrixViewF queries, size_t k, const SearchOptions&,
-                   uint32_t* ids, ThreadPool* = nullptr) const override {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      const uint64_t ticket = entered_++;
-      entered_cv_.notify_all();
-      if (!block_first_only_ || ticket == 0) {
-        gate_cv_.wait(lk, [&] { return open_; });
-      }
-    }
-    const uint32_t hit = 0;
-    const float dist = 0.0f;
-    for (size_t qi = 0; qi < queries.rows; ++qi) {
-      WritePaddedRow(&hit, &dist, 1, k, ids + qi * k, nullptr);
-    }
-  }
-
-  /// Blocks until `n` queries have entered SearchBatch.
-  void WaitEntered(uint64_t n) const {
-    std::unique_lock<std::mutex> lk(mu_);
-    entered_cv_.wait(lk, [&] { return entered_ >= n; });
-  }
-
-  void OpenGate() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    open_ = true;
-    gate_cv_.notify_all();
-  }
-
- private:
-  size_t dim_;
-  bool block_first_only_;
-  // mutable: SearchBatch is const on the SearchIndex seam.
-  mutable std::mutex mu_;
-  mutable std::condition_variable entered_cv_;
-  mutable std::condition_variable gate_cv_;
-  mutable uint64_t entered_ = 0;
-  mutable bool open_ = false;
-};
 
 // TrySubmit with queue_capacity=1: the first query is admitted and parks
 // in the gate; the second is rejected with kRejectedOverload (and counted)
@@ -524,6 +464,56 @@ TEST(ServingEngine, SubmitDuringShutdownIsTaggedNotZeroHit) {
   destroyer.join();
   SearchResult res = pinned.get();
   EXPECT_EQ(res.outcome, SearchOutcome::kOk);  // admitted before stop
+}
+
+// Work-conserving draining: a backlog leaves the queue in chunks of at most
+// max_batch. With one searcher, the first query is drained alone and parks
+// in the gate; the 20 submitted behind it queue up (no second drain task
+// can start) and go out as 8, 8 and 4 once the gate opens.
+TEST(ServingEngine, BacklogDrainsInMaxBatchChunks) {
+  GateIndex gate(/*dim=*/8);
+  ServingOptions opts;
+  opts.num_threads = 1;
+  opts.max_batch = 8;
+  ServingEngine engine(&gate, opts);
+  const std::vector<float> q(8, 0.5f);
+  RuntimeParams p;
+
+  std::vector<std::future<SearchResult>> futures;
+  futures.push_back(engine.Submit(q.data(), 3, p));
+  gate.WaitEntered(1);
+  for (int i = 0; i < 20; ++i) futures.push_back(engine.Submit(q.data(), 3, p));
+  EXPECT_EQ(engine.queue_depth(), 20u);
+
+  gate.OpenGate();
+  for (auto& fut : futures) {
+    SearchResult res = fut.get();
+    EXPECT_EQ(res.outcome, SearchOutcome::kOk);
+    ASSERT_EQ(res.ids.size(), 3u);
+    EXPECT_EQ(res.ids[0], 0u);
+  }
+  EXPECT_EQ(engine.counters().queries, 21u);
+  EXPECT_EQ(engine.counters().batches, 4u);  // 1, 8, 8, 4
+}
+
+// An idle engine does not wait for company: each query submitted alone is
+// drained alone, as its own chunk.
+TEST(ServingEngine, IdleEngineDrainsEachQueryAlone) {
+  GateIndex gate(/*dim=*/8);
+  gate.OpenGate();
+  ServingOptions opts;
+  opts.num_threads = 2;
+  ServingEngine engine(&gate, opts);
+  const std::vector<float> q(8, 0.5f);
+  RuntimeParams p;
+
+  const uint64_t queries = 50;
+  for (uint64_t i = 0; i < queries; ++i) {
+    EXPECT_EQ(engine.Submit(q.data(), 3, p).get().outcome,
+              SearchOutcome::kOk);
+  }
+  EXPECT_EQ(engine.counters().queries, queries);
+  EXPECT_EQ(engine.counters().batches, queries);
 }
 
 /// One small facade build for the GenerationHolder tests.

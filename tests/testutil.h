@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -153,6 +156,63 @@ inline Matrix<uint32_t> SearchIds(const SearchIndex& idx, MatrixViewF queries,
   idx.SearchBatch(queries, k, p, ids.data(), pool);
   return ids;
 }
+
+/// A SearchIndex stub whose SearchBatch parks inside the search until the
+/// gate opens — the deterministic way to hold async queries "executing"
+/// while a test probes admission control, shutdown or queue draining. With
+/// `block_first_only`, only the first query ever parks; the rest answer
+/// immediately (the shutdown test needs later queries to resolve while the
+/// first pins the engine's in-flight count). Every answer is id 0 at
+/// distance 0, padded to k.
+class GateIndex : public SearchIndex {
+ public:
+  explicit GateIndex(size_t dim, bool block_first_only = false)
+      : dim_(dim), block_first_only_(block_first_only) {}
+
+  std::string name() const override { return "gate-stub"; }
+  size_t size() const override { return 1; }
+  size_t dim() const override { return dim_; }
+  size_t memory_bytes() const override { return sizeof(*this); }
+
+  void SearchBatch(MatrixViewF queries, size_t k, const SearchOptions&,
+                   uint32_t* ids, ThreadPool* = nullptr) const override {
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      const uint64_t ticket = entered_++;
+      entered_cv_.notify_all();
+      if (!block_first_only_ || ticket == 0) {
+        gate_cv_.wait(lk, [&] { return open_; });
+      }
+    }
+    const uint32_t hit = 0;
+    const float dist = 0.0f;
+    for (size_t qi = 0; qi < queries.rows; ++qi) {
+      WritePaddedRow(&hit, &dist, 1, k, ids + qi * k, nullptr);
+    }
+  }
+
+  /// Blocks until `n` queries have entered SearchBatch.
+  void WaitEntered(uint64_t n) const {
+    std::unique_lock<std::mutex> lk(mu_);
+    entered_cv_.wait(lk, [&] { return entered_ >= n; });
+  }
+
+  void OpenGate() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    open_ = true;
+    gate_cv_.notify_all();
+  }
+
+ private:
+  size_t dim_;
+  bool block_first_only_;
+  // mutable: SearchBatch is const on the SearchIndex seam.
+  mutable std::mutex mu_;
+  mutable std::condition_variable entered_cv_;
+  mutable std::condition_variable gate_cv_;
+  mutable uint64_t entered_ = 0;
+  mutable bool open_ = false;
+};
 
 }  // namespace testutil
 }  // namespace blink
